@@ -2,9 +2,11 @@
 
 Each benchmark regenerates one table or figure from the paper's
 evaluation: it runs the sweep, prints the same rows/series the paper
-reports, writes them to ``benchmarks/results/``, and asserts the result
-*shape* (who wins, by roughly what factor) — absolute numbers differ
-because the substrate is a simulator, not the authors' FPGA testbed.
+reports, writes them to ``.bench_build/results/`` at the repository
+root (untracked, so a test run never rewrites a tracked file), and
+asserts the result *shape* (who wins, by roughly what factor) —
+absolute numbers differ because the substrate is a simulator, not the
+authors' FPGA testbed.
 """
 
 from __future__ import annotations
@@ -13,15 +15,16 @@ import pathlib
 
 import pytest
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+RESULTS_DIR = (pathlib.Path(__file__).resolve().parent.parent
+               / ".bench_build" / "results")
 
 
 @pytest.fixture
 def report():
-    """Print a report block and persist it under benchmarks/results/."""
+    """Print a report block and persist it under .bench_build/results/."""
 
     def writer(name: str, text: str) -> None:
-        RESULTS_DIR.mkdir(exist_ok=True)
+        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
         path = RESULTS_DIR / f"{name}.txt"
         path.write_text(text + "\n")
         print(f"\n{'=' * 72}\n{text}\n{'=' * 72}")

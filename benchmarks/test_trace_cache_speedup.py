@@ -24,6 +24,7 @@ from repro.qcp import ShotEngine, scalar_config
 UNCACHED_SHOTS = 20
 CACHED_SHOTS = 400
 IDENTITY_SHOTS = 25
+DENSE_UNCACHED_SHOTS = 80
 CHAIN_DATA, CHAIN_QUBITS = 26, 51
 
 
@@ -148,13 +149,14 @@ def test_noisy_trace_cache_throughput(benchmark, report):
 
 
 def dense_noisy_sweep():
-    """Compiled noise-site replay vs the PR 4 timed device loop.
+    """Compiled noise-site replay vs uncached cycle-accurate execution.
 
-    Both strategies replay the same trie on the same noisy dense
-    substrate; only the per-shot execution differs (flat prebound
-    closures vs the per-op timed Python loop), so the rate ratio
-    isolates exactly the compilation win.  Rates are best-of-2 to
-    damp scheduler noise.
+    Both engines run the same seeds on the same noisy dense substrate
+    (Pauli bit flips plus readout flips); one replays the trie through
+    the compiled noise-site program, the other simulates every shot
+    through the full control stack.  Rates
+    are interleaved best-of-3 so clock drift and CPU contention hit
+    both strategies alike.
     """
     from benchmarks.perf_report import chain_noise_model
 
@@ -169,21 +171,18 @@ def dense_noisy_sweep():
         engine.run(30)  # warm the trie and the compiled programs
         return engine
 
-    device_engine = dense_engine(trace_cache_compiled_noise=False)
+    uncached_engine = dense_engine(trace_cache=False)
     engine = dense_engine()
-    # Interleaved best-of-3 so clock drift and CPU contention hit
-    # both strategies alike.
-    device_rate = compiled_rate = 0.0
-    shots = 400
+    uncached_rate = compiled_rate = 0.0
     for _ in range(3):
         start = time.perf_counter()
-        device_engine.run(shots)
-        device_rate = max(device_rate,
-                          shots / (time.perf_counter() - start))
+        uncached_engine.run(DENSE_UNCACHED_SHOTS)
+        uncached_rate = max(uncached_rate, DENSE_UNCACHED_SHOTS
+                            / (time.perf_counter() - start))
         start = time.perf_counter()
-        engine.run(shots)
+        engine.run(CACHED_SHOTS)
         compiled_rate = max(compiled_rate,
-                            shots / (time.perf_counter() - start))
+                            CACHED_SHOTS / (time.perf_counter() - start))
 
     def histogram(**config_changes):
         engine = ShotEngine(
@@ -194,43 +193,42 @@ def dense_noisy_sweep():
 
     reference = histogram(trace_cache=False)
     compiled = histogram()
-    device = histogram(trace_cache_compiled_noise=False)
     return {
-        "device": device_rate, "compiled": compiled_rate,
-        "speedup": compiled_rate / device_rate,
+        "uncached": uncached_rate, "compiled": compiled_rate,
+        "speedup": compiled_rate / uncached_rate,
         "identical": (compiled.counts == reference.counts
-                      and compiled.total_ns == reference.total_ns
-                      and device.counts == reference.counts
-                      and device.total_ns == reference.total_ns),
+                      and compiled.total_ns == reference.total_ns),
         "cache": engine.trace_cache,
     }
 
 
 def test_dense_compiled_noise_throughput(benchmark, report):
-    """The compiled dense pipeline must beat the PR 4 device loop 3x.
+    """Compiled noisy dense replay must beat uncached execution 4x.
 
     The noise-site program pre-resolves idle-decay durations, channel
     sites and ZZ windows and GEMM-fuses the unitary runs between
-    them, so the per-shot cost collapses to the irreducible numpy
-    kernels plus the live measurement draws (measured ~3.3-3.6x on
-    the 9-qubit noisy chain; asserted at 3x for noisy CI runners —
-    the ratio of two rates measured back-to-back is far more stable
-    than either absolute rate).
+    them, so a replayed shot costs the irreducible numpy kernels plus
+    the live measurement draws, while an uncached shot pays the whole
+    event-driven control stack (measured 6.8-8.5x interleaved
+    best-of-3 on the 9-qubit noisy chain on a 2-CPU x86 container;
+    BENCH_shots.json records 5.9x; asserted at 4x for noisy CI
+    runners — the ratio of two rates measured back-to-back is far
+    more stable than either absolute rate).
     """
     data = benchmark.pedantic(dense_noisy_sweep, rounds=1, iterations=1)
     cache = data["cache"]
     report("trace_cache_dense_noisy", format_table(
-        ["workload", "device-replay shots/s", "compiled shots/s",
+        ["workload", "cycle-accurate shots/s", "compiled shots/s",
          "speedup", "hits/misses (resumes)", "bit-identical"],
         [["chain_dense_noisy_9q",
-          f"{data['device']:.1f}", f"{data['compiled']:.1f}",
+          f"{data['uncached']:.1f}", f"{data['compiled']:.1f}",
           f"{data['speedup']:.1f}x",
           f"{cache.hits}/{cache.misses} ({cache.resumes})",
           "yes" if data["identical"] else "NO"]],
-        title=("Compiled noise-site dense replay vs timed device-level "
-               "replay (statevector backend, Pauli+readout noise)")))
+        title=("Compiled noise-site dense replay vs cycle-accurate "
+               "execution (statevector backend, Pauli+readout noise)")))
     assert data["identical"], "dense replay diverged"
-    assert data["speedup"] >= 3.0, f"only {data['speedup']:.1f}x"
+    assert data["speedup"] >= 4.0, f"only {data['speedup']:.1f}x"
 
 
 def batched_sweep():

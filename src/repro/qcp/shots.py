@@ -17,19 +17,20 @@ control-stack simulation and records the device-op stream; every
 later shot sharing that decision path replays the recorded stream
 straight into the QPU backend, skipping the event kernel entirely
 while producing bit-identical outcomes, histograms and timings.
-Replay itself is compiled per substrate: sign-trace programs on the
-stabilizer backend, GEMM-fused block operators on the ideal dense
-backend (``QCPConfig.trace_cache_dense_fusion``), and flat noise-site
-programs on the noisy dense backend
-(``QCPConfig.trace_cache_compiled_noise``), all funnelling through
-one shared decide/hit/resume epilogue.
+Replay itself is compiled per substrate, by one of two serial loops
+that :func:`~repro.qcp.tracecache.replay_mode` chooses: sign-trace
+programs on the stabilizer backend, and flat noise-site programs
+(GEMM-fused unless ``QCPConfig.trace_cache_dense_fusion`` is off) on
+the dense backend, ideal or noisy — both funnelling through one
+shared decide/hit/resume epilogue.
 This includes **noisy substrates** (pass ``noise=``): the per-shot
 reseeded noise rng is replayed positionally, and a replay that
 diverges from the trie resumes the cycle-accurate simulation from
 the divergence frontier (:class:`~repro.qcp.tracecache.CheckpointQPU`)
-instead of re-simulating the whole shot.  Only custom ``qpu_factory``
-devices fall back to always-cycle-accurate execution — the cache
-cannot see inside them.
+instead of re-simulating the whole shot.  Custom ``qpu_factory``
+devices (the cache cannot see inside them) and substrates
+``replay_mode`` has no representation for (a noise channel no replay
+compiler has vetted) fall back to always-cycle-accurate execution.
 
 Backend selection
 =================
@@ -68,7 +69,7 @@ from repro.qcp.system import QuAPESystem, infer_qubit_count
 from repro.qcp.routing import RoutingDecision, route_backend
 from repro.qcp.tracecache import (CheckpointQPU, RecordingQPU,
                                   ResumePoint, TraceCache,
-                                  auto_batch_width)
+                                  auto_batch_width, replay_mode)
 from repro.qpu.device import QPUBase, SimulatedQPU
 from repro.qpu.noise import NoiseModel
 from repro.qpu.profile import DeviceProfile, load_device_profile
@@ -302,11 +303,14 @@ class ShotEngine:
                                      backend=self.backend, noise=noise,
                                      profile=profile)
         # -- trace cache: replay decision-path-identical shots -----------
-        # Any engine-owned SimulatedQPU is cacheable — ideal or noisy
+        # An engine-owned SimulatedQPU is cacheable — ideal or noisy
         # (noise draws replay positionally from the per-shot reseeded
-        # channel rng).  A custom factory is opaque to the recorder.
+        # channel rng) — whenever replay_mode names a representation
+        # for it; otherwise (an unvetted noise channel) every shot runs
+        # cycle-accurately.  A custom factory is opaque to the recorder.
         self.trace_cache: TraceCache | None = None
-        if self.config.trace_cache and self._qpu is not None:
+        if (self.config.trace_cache and self._qpu is not None
+                and replay_mode(self._qpu) is not None):
             self.trace_cache = TraceCache(self.config)
         # -- persistent artifact cache: warm-start the trace cache -------
         # Keyed by the full engine identity; an engine whose identity

@@ -35,6 +35,7 @@ simulation would, so both paths see the same stream.  See
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field, fields
@@ -442,17 +443,13 @@ class NoiseModel:
         This is the condition under which the trace cache can keep its
         compiled sign-trace replay on noisy stabilizer substrates —
         ZZ crosstalk and amplitude damping are not Clifford channels
-        and need the dense backend's device-level replay instead.
+        and need the dense backend's noise-site replay instead.
 
         Fails **closed**: the Pauli-compatible channels are an
         allow-list, so a channel field added to :class:`NoiseModel`
         later is non-cacheable until it is explicitly vetted here.
         """
-        pauli_compatible = {"depolarizing", "two_qubit_depolarizing",
-                            "pauli", "readout", "seed", "rng"}
-        return all(getattr(self, spec.name) is None
-                   for spec in fields(self)
-                   if spec.name not in pauli_compatible)
+        return self._all_disabled_except(_PAULI_COMPATIBLE)
 
     @property
     def is_dense_compilable(self) -> bool:
@@ -461,18 +458,13 @@ class NoiseModel:
 
         Fails **closed**, like :attr:`is_pauli_only`: the supported
         channel fields are an allow-list, so an *enabled* channel
-        added to :class:`NoiseModel` later routes noisy dense replay
-        back to the timed device-level loop (whose hooks run the live
-        device code and therefore pick the new channel up
-        automatically) until the compiler is explicitly taught about
-        it.
+        added to :class:`NoiseModel` later (or by a subclass) leaves
+        the engine uncached — every shot runs cycle-accurately
+        through the live device code, which picks the new channel up
+        automatically — until the compiler is explicitly taught
+        about it.
         """
-        compilable = {"depolarizing", "two_qubit_depolarizing",
-                      "pauli", "zz", "readout", "decoherence",
-                      "seed", "rng"}
-        return all(getattr(self, spec.name) is None
-                   for spec in fields(self)
-                   if spec.name not in compilable)
+        return self._all_disabled_except(_DENSE_COMPILABLE)
 
     @property
     def is_batch_compilable(self) -> bool:
@@ -491,11 +483,14 @@ class NoiseModel:
         fields route batched replay back to the serial loop until the
         batch compiler is explicitly taught about them.
         """
-        batchable = {"depolarizing", "two_qubit_depolarizing",
-                     "pauli", "zz", "readout", "seed", "rng"}
-        return all(getattr(self, spec.name) is None
-                   for spec in fields(self)
-                   if spec.name not in batchable)
+        return self._all_disabled_except(_BATCH_COMPILABLE)
+
+    def _all_disabled_except(self, vetted: frozenset) -> bool:
+        """True when every field outside ``vetted`` is ``None``."""
+        for name in _fields_outside(type(self), vetted):
+            if getattr(self, name) is not None:
+                return False
+        return True
 
     def after_gate(self, state: StateVector, gate: str,
                    qubits: tuple[int, ...]) -> None:
@@ -547,7 +542,7 @@ class NoiseModel:
 
         Delegates to :meth:`ZZCrosstalk.window_events` — the single
         shared implementation of the drive-window overlap accounting —
-        so the cycle-accurate device loop and every compiled replay
+        so the cycle-accurate device and every compiled replay
         derive their events from identical logic.  Empty without a ZZ
         channel.
         """
@@ -573,6 +568,22 @@ class NoiseModel:
         if self.decoherence is not None:
             self.decoherence.apply_idle(state, qubit, duration_ns,
                                         self.rng)
+
+
+#: Field allow-lists of the three replay predicates: the channels each
+#: compiler models, plus the non-channel ``seed``/``rng`` fields.
+_PAULI_COMPATIBLE = frozenset({"depolarizing", "two_qubit_depolarizing",
+                               "pauli", "readout", "seed", "rng"})
+_DENSE_COMPILABLE = _PAULI_COMPATIBLE | {"zz", "decoherence"}
+_BATCH_COMPILABLE = _PAULI_COMPATIBLE | {"zz"}
+
+
+@functools.cache
+def _fields_outside(cls: type, vetted: frozenset) -> tuple[str, ...]:
+    """``cls``'s dataclass fields not in ``vetted`` (memoized per class,
+    so the replay predicates cost a few attribute reads per shot)."""
+    return tuple(spec.name for spec in fields(cls)
+                 if spec.name not in vetted)
 
 
 def ideal_noise_model(seed: int | None = None) -> NoiseModel:

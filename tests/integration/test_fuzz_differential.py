@@ -13,8 +13,9 @@ seed:
 * issue model: scalar x superscalar;
 * noise: ideal, Pauli+readout (both backends), and the full dense
   channel stack (statevector only);
-* dense replay flavours: GEMM fusion on/off, compiled noise-site
-  program vs the timed device-level loop;
+* dense replay flavours: the noise-site program with GEMM fusion on
+  and off, under the full channel stack and under ideal noise (the
+  zero-site case);
 * shot batching: lockstep cohorts (bit-plane sign columns on the
   stabilizer backend, batch GEMMs on the statevector backend,
   wavefront trie traversal for control flow) vs the serial per-shot
@@ -22,11 +23,10 @@ seed:
   widths larger than the shot count.
 
 This is the suite guarding the shared decide/hit/resume epilogue
-(:meth:`repro.qcp.tracecache.TraceCache._epilogue`): all three
-specialized replay loops (sign-trace, generic compiled, dense
-noise-site) funnel through it, so a disagreement between any two
-strategies points either at a hot-loop specialization or at the one
-shared tail.
+(:meth:`repro.qcp.tracecache.TraceCache._epilogue`): both serial
+replay loops (sign-trace and dense noise-site) funnel through it, so
+a disagreement between any two strategies points either at a hot-loop
+specialization or at the one shared tail.
 """
 
 from __future__ import annotations
@@ -187,27 +187,28 @@ def test_fuzz_pauli_noise_both_backends(program):
 @settings(max_examples=10, deadline=None)
 @given(control_flow_programs(), st.booleans())
 def test_fuzz_dense_noise_replay_flavours(program, superscalar):
-    """Full dense channel stack: every noisy-dense replay flavour —
-    compiled noise-site program (fused and unfused), timed
-    device-level loop, LRU-bounded — against the cycle-accurate
-    reference."""
+    """Every dense replay flavour — the noise-site program fused and
+    unfused, LRU-bounded — against the cycle-accurate reference, under
+    the full dense channel stack and under ideal noise (the zero-site
+    program ideal dense replay runs)."""
     config = superscalar_config(4) if superscalar else scalar_config()
-    engines = {
-        "uncached": cache_engine(program, "statevector", config,
-                                 dense_noise, trace_cache=False),
-        "compiled-fused": cache_engine(program, "statevector", config,
-                                       dense_noise),
-        "compiled-unfused": cache_engine(
-            program, "statevector", config, dense_noise,
-            trace_cache_dense_fusion=False),
-        "device-loop": cache_engine(
-            program, "statevector", config, dense_noise,
-            trace_cache_compiled_noise=False),
-        "compiled-lru": cache_engine(
-            program, "statevector", config, dense_noise,
-            trace_cache_max_nodes=4),
-    }
-    run_matrix(program, engines)
+    for noise_factory in (dense_noise, None):
+        engines = {
+            "uncached": cache_engine(program, "statevector", config,
+                                     noise_factory, trace_cache=False),
+            "fused": cache_engine(program, "statevector", config,
+                                  noise_factory),
+            "unfused": cache_engine(
+                program, "statevector", config, noise_factory,
+                trace_cache_dense_fusion=False),
+            "lru": cache_engine(
+                program, "statevector", config, noise_factory,
+                trace_cache_max_nodes=4),
+        }
+        run_matrix(program, engines)
+        for name in ("fused", "unfused", "lru"):
+            cache = engines[name].trace_cache
+            assert cache.hits + cache.misses == SHOTS, name
 
 
 @settings(max_examples=8, deadline=None)
@@ -334,21 +335,32 @@ def test_fuzz_warm_artifact_start_matches_cold(tmp_path_factory, program):
 def test_epilogue_is_shared_by_all_replay_modes():
     """The decide/hit/resume tail is literally one implementation.
 
-    Guard against the epilogue being re-triplicated: the three
-    specialized loops must not grow private decision handling.  This
-    asserts the single choke point exists and the loops call it.
+    Guard against the epilogue being re-duplicated: exactly two serial
+    loops exist (sign trace and dense noise-site program), both call
+    the single choke point, and every replay-mode choice reads the one
+    predicate, ``replay_mode``.
     """
     import inspect
 
-    from repro.qcp import tracecache
+    from repro.qcp import artifacts, shots, tracecache
 
     assert hasattr(tracecache.TraceCache, "_epilogue")
-    for mode in ("_replay_signs", "_replay_generic", "_replay_dense",
-                 "_replay_device"):
+    serial = {name for name in vars(tracecache.TraceCache)
+              if name.startswith("_replay_")
+              and not name.startswith("_replay_batch")}
+    assert serial == {"_replay_signs", "_replay_dense"}
+    for mode in sorted(serial):
         source = inspect.getsource(getattr(tracecache.TraceCache, mode))
         assert "_epilogue" in source, f"{mode} bypasses the epilogue"
         assert "children.get" not in source, (
             f"{mode} re-implements edge selection outside the epilogue")
+    for reader in (tracecache.TraceCache.replay,
+                   tracecache.TraceCache.replay_batch,
+                   artifacts.ArtifactCache._serialize,
+                   artifacts.ArtifactCache._install,
+                   shots.ShotEngine.__init__):
+        assert "replay_mode(" in inspect.getsource(reader), reader
+    assert artifacts.replay_mode is tracecache.replay_mode
     # The batched loops funnel through _epilogue_batch, which decides
     # each cohort row with the *same* serial _epilogue — the wavefront
     # partition is bookkeeping around the one choke point, not a

@@ -260,11 +260,49 @@ def test_unknown_meta_field_falls_back_cold(tmp_path):
     reference = populate(tmp_path)
     path = artifact_file(tmp_path)
     fingerprint = populate_fingerprint(tmp_path)
-    meta = {"mode": "signs", "fused": False, "masks": [0, 0, 0],
+    meta = {"mode": "signs", "masks": [0, 0, 0],
             "arrays": [], "nodes": [], "recency": [], "surprise": 1}
     with open(path, "wb") as handle:
         handle.write(artifacts_mod._assemble(fingerprint, meta, b""))
     assert_cold_but_correct(tmp_path, reference)
+
+
+def test_previous_schema_generic_fused_artifact_falls_back_cold(
+        tmp_path, monkeypatch):
+    """A schema-2 artifact — ideal dense trie in the retired
+    ``"generic"`` mode with stored GEMM-fusion plans — is rejected
+    even when it sits under the live key: one invalidation, then a
+    cold compile that matches the reference bit for bit."""
+    reference = populate(tmp_path, backend="statevector")
+    path = artifact_file(tmp_path)
+    live = make_engine(tmp_path, backend="statevector")
+    assert live.artifacts.warm_loads == 1
+    fingerprint = dict(live.artifacts.fingerprint, schema=2)
+    node = {"p": -1, "e": None, "t": 0, "i": [], "d": None,
+            "s": None, "x": None, "f": []}
+    meta = {"mode": "generic", "fused": True, "masks": [0, 0, 0],
+            "arrays": [], "nodes": [node], "recency": []}
+    with monkeypatch.context() as patch:
+        patch.setattr(artifacts_mod, "ARTIFACT_SCHEMA_VERSION", 2)
+        legacy = artifacts_mod._assemble(fingerprint, meta, b"")
+    with open(path, "wb") as handle:
+        handle.write(legacy)
+    engine = make_engine(tmp_path, backend="statevector")
+    assert engine.artifacts.invalidations == 1
+    assert engine.artifacts.cold_compiles == 1
+    assert engine.trace_cache.root is None
+    result = engine.run(SHOTS)
+    assert result.counts == reference.counts
+    assert result.total_ns == reference.total_ns
+    # The same retired layout stamped with the live schema is still
+    # refused: "generic" is no replay mode and "fused"/"f" are
+    # unknown keys.
+    with open(path, "wb") as handle:
+        handle.write(artifacts_mod._assemble(
+            live.artifacts.fingerprint, meta, b""))
+    retry = make_engine(tmp_path, backend="statevector")
+    assert retry.artifacts.invalidations == 1
+    assert retry.trace_cache.root is None
 
 
 def populate_fingerprint(tmp_path):

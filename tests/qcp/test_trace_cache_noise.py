@@ -122,8 +122,8 @@ class TestNoisyEquivalence:
         assert cached.trace_cache.resumes > 0
 
     def test_full_channel_stack_on_dense_backend(self):
-        # ZZ crosstalk and T1/T2 decay go through the timed
-        # device-level replay (busy/window bookkeeping included).
+        # ZZ crosstalk and T1/T2 decay go through the compiled
+        # noise-site replay (busy/window bookkeeping included).
         program = build_repetition_memory_program(rounds=3,
                                                   encode_one=True)
         assert_bit_identical(program, 5, "statevector",
@@ -229,6 +229,49 @@ class TestGating:
         engine = ShotEngine(build_rus_blocks(1), n_qubits=3,
                             noise=pauli_noise())
         assert engine.trace_cache is not None
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unvetted_channel_runs_uncached(self, backend):
+        # A NoiseModel subclass carrying an enabled channel no replay
+        # compiler has vetted has no replay representation: the engine
+        # builds no trace cache and every shot runs cycle-accurately,
+        # bit-identical to an explicitly uncached engine.
+        import dataclasses
+
+        @dataclasses.dataclass
+        class KickNoise(NoiseModel):
+            kick: float | None = None
+
+            def after_gate(self, state, gate, qubits):
+                super().after_gate(state, gate, qubits)
+                if self.kick is None:
+                    return
+                for qubit in qubits:
+                    if self.rng.random() < self.kick:
+                        state.apply_gate("x", (qubit,))
+
+        program = build_repetition_chain_program(3, rounds=2,
+                                                 encode_one=True)
+        cached, uncached = engine_pair(
+            program, 5, backend, scalar_config(),
+            lambda: KickNoise(kick=0.2,
+                              readout=ReadoutError(p0_given_1=0.03)))
+        assert cached.trace_cache is None
+        # A cache handed such a substrate anyway refuses to replay it.
+        from repro.qcp.tracecache import TraceCache, replay_mode
+        assert replay_mode(cached._qpu) is None
+        with pytest.raises(TypeError):
+            TraceCache(cached.config).replay(cached._qpu, 0)
+        assert [cached.run_shot(seed) for seed in range(20)] == \
+            [uncached.run_shot(seed) for seed in range(20)]
+        assert cached.run(30).counts == uncached.run(30).counts
+        # The channel is live: without it the same seeds read differently.
+        plain = ShotEngine(program, config=scalar_config(),
+                           backend=backend, n_qubits=5,
+                           noise=KickNoise(
+                               readout=ReadoutError(p0_given_1=0.03)))
+        assert plain.trace_cache is not None  # disabled channel: vetted
+        assert plain.run(30).counts != cached.run(30).counts
 
     def test_noise_with_custom_factory_rejected(self):
         from repro.qpu import PRNGQPU

@@ -163,7 +163,8 @@ class TestGemmFusion:
 
     ``block_applier`` promises *bit-for-bit* identity with
     ``apply_unitary`` (same GEMM on the same gathered buffer);
-    ``fuse_ops``/``compile_fused_ops`` promise identical rng draw
+    ``fuse_into`` — driven here through the trace cache's dense block
+    compiler, the way replay uses it — promises identical rng draw
     sequences and measurement outcomes, with amplitudes equal up to
     last-ulp rounding (matrix products round differently).
     """
@@ -181,12 +182,42 @@ class TestGemmFusion:
         ("gate", "cnot", (1, 3), ()),
     ]
 
+    @staticmethod
+    def apply_sequential(state, ops):
+        for kind, name, qubits, params in ops:
+            if kind == "reset":
+                state.reset(qubits[0])
+            else:
+                state.apply_gate(name, qubits, params)
+
+    @staticmethod
+    def apply_fused(state, ops):
+        """Replay ``ops`` through the dense block compiler: unitaries
+        fuse, resets (which draw the rng) flush the open block."""
+        from repro.circuit.gates import lookup_gate
+        from repro.qcp.tracecache import _DenseBlockCompiler
+
+        steps = []
+        block = _DenseBlockCompiler(state, None, steps)
+        for kind, name, qubits, params in ops:
+            if kind == "reset":
+                block.flush()
+                steps.append(lambda q=qubits[0]: state.reset(q))
+            else:
+                block.add_unitary(
+                    np.asarray(lookup_gate(name).unitary(params),
+                               dtype=complex), qubits)
+        block.flush()
+        assert len(steps) < len(ops)  # something actually fused
+        for step in steps:
+            step()
+
     def test_fused_stream_matches_sequential_amplitudes(self):
         for seed in range(10):
             sequential = StateVector(4, rng=random.Random(seed))
             fused = StateVector(4, rng=random.Random(seed))
-            sequential.apply_ops(self.OPS)
-            fused.compile_fused_ops(self.OPS)()
+            self.apply_sequential(sequential, self.OPS)
+            self.apply_fused(fused, self.OPS)
             assert np.allclose(sequential.amplitudes, fused.amplitudes)
 
     def test_fusion_preserves_rng_draws_and_outcomes(self):
@@ -195,27 +226,30 @@ class TestGemmFusion:
         for seed in range(20):
             sequential = StateVector(4, rng=random.Random(seed))
             fused = StateVector(4, rng=random.Random(seed))
-            sequential.apply_ops(self.OPS)
-            fused.compile_fused_ops(self.OPS)()
+            self.apply_sequential(sequential, self.OPS)
+            self.apply_fused(fused, self.OPS)
             for qubit in range(4):
                 assert sequential.measure(qubit) == fused.measure(qubit)
 
-    def test_fuse_ops_respects_support_bound(self):
-        from repro.qpu.statevector import fuse_ops
-        steps = fuse_ops(self.OPS, max_qubits=2)
-        for step in steps:
-            if step[0] == "gate":
-                assert len(step[2]) <= 2
-        # Resets survive as explicit steps (they consume an rng draw).
-        assert sum(1 for step in steps if step[0] == "reset") == 1
+    def test_fuse_into_respects_support_bound(self):
+        from repro.qpu.statevector import cached_unitary, fuse_into
+        h, x = cached_unitary("h"), cached_unitary("x")
+        grown = fuse_into(h, (0,), x, (1,), max_qubits=2)
+        assert grown is not None and grown[1] == (0, 1)
+        # A third qubit would exceed the bound: the caller must flush.
+        assert fuse_into(grown[0], grown[1], h, (2,),
+                         max_qubits=2) is None
 
-    def test_fuse_ops_folds_single_qubit_runs(self):
-        from repro.qpu.statevector import fuse_ops
-        run = [("gate", "h", (1,), ()), ("gate", "t", (1,), ()),
-               ("gate", "s", (1,), ()), ("gate", "x", (1,), ())]
-        steps = fuse_ops(run)
-        assert len(steps) == 1
-        assert steps[0][0] == "gate" and steps[0][2] == (1,)
+    def test_fuse_into_folds_single_qubit_runs(self):
+        from repro.qpu.statevector import cached_unitary, fuse_into
+        matrix, support = cached_unitary("h"), (1,)
+        for gate in ("t", "s", "x"):
+            matrix, support = fuse_into(matrix, support,
+                                        cached_unitary(gate), (1,))
+        assert support == (1,)
+        expected = (cached_unitary("x") @ cached_unitary("s")
+                    @ cached_unitary("t") @ cached_unitary("h"))
+        assert np.allclose(matrix, expected)
 
     def test_lift_matches_direct_application(self):
         from repro.circuit.gates import lookup_gate

